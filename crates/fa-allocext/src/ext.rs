@@ -518,12 +518,12 @@ impl AllocBackend for ExtAllocator {
         };
         let outer = self.heap.malloc(mem, left + req + right)?;
         let user = outer.offset(left);
-        let heap_usable = self.heap.usable_size(mem, outer)?;
 
         // Memory handed out from a marked free region is legitimately
         // reused now; un-mark it (the chunk header, user area, and the
         // boundary header written right after the chunk).
         if !self.marks.is_empty() {
+            let heap_usable = self.heap.usable_size(mem, outer)?;
             let lo = outer.0 - 16;
             let hi = outer.0 + heap_usable + 16;
             trim_marks(&mut self.marks, lo, hi);
@@ -817,7 +817,7 @@ impl AllocBackend for ExtAllocator {
             }
             return Ok(());
         }
-        self.table.remove_by_user(addr);
+        self.table.remove(outer);
         self.heap.free(mem, outer)?;
         if self.tracing {
             self.trace.push(TraceEvent::Dealloc {
@@ -1233,7 +1233,7 @@ impl ExtAllocator {
                     .saturating_sub(p.left + p.right);
             }
         }
-        self.table.remove_by_user(user);
+        self.table.remove(outer);
         if let Some(slot) = sentried {
             // The slot goes back to the free list unpoisoned: the object
             // left through the ordinary delayed-free quarantine.
@@ -1874,6 +1874,39 @@ mod tests {
             }
         }
         assert_eq!(sampled, sampled2, "cloned allocators replay decisions");
+    }
+
+    #[test]
+    fn stale_free_into_recycled_slot_leaves_new_object_live() {
+        let (mut mem, mut ext, mut clock) = setup();
+        // One slot, recycled as soon as it is poisoned.
+        ext.enable_sentry(SentryConfig {
+            rate: 1,
+            hot_threshold: u64::MAX,
+            max_slots: 1,
+            recycle_depth: 0,
+            ..SentryConfig::default()
+        });
+        let a = ext.malloc(&mut mem, &mut clock, 64, site(1)).unwrap();
+        ext.free(&mut mem, &mut clock, a, site(2)).unwrap();
+        // The slot comes back holding a padded object: same outer
+        // address, a different user pointer.
+        let mut plan = ChangePlan::none();
+        plan.overflow = Mode::Prevent;
+        ext.set_diagnostic(plan);
+        let b = ext.malloc(&mut mem, &mut clock, 64, site(3)).unwrap();
+        assert_ne!(a, b);
+        assert_eq!(
+            ext.table().get_by_user(b).unwrap().outer,
+            a.back(SLOT_SLACK)
+        );
+        // The stale pointer no longer names a tracked object, so its
+        // double free cannot reach `b`.
+        assert!(ext.table().get_by_user(a).is_none());
+        assert!(ext.free(&mut mem, &mut clock, a, site(4)).is_err());
+        assert_eq!(ext.table().get_by_user(b).unwrap().state, ObjState::Live);
+        mem.write_u64(b, 7).unwrap();
+        ext.free(&mut mem, &mut clock, b, site(5)).unwrap();
     }
 
     #[test]

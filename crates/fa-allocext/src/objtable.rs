@@ -94,11 +94,14 @@ impl ObjectInfo {
 }
 
 /// Range-queryable table of tracked objects, keyed by outer address.
+///
+/// Object footprints (`outer .. outer + outer_size`) never overlap, so
+/// the one index also answers user-pointer lookups: the object whose
+/// user area starts at `user` can only be the last entry at or below
+/// `user`.
 #[derive(Clone, Debug, Default)]
 pub struct ObjectTable {
     by_outer: BTreeMap<u64, ObjectInfo>,
-    /// user → outer for O(log n) free-path lookup.
-    user_to_outer: BTreeMap<u64, u64>,
 }
 
 impl ObjectTable {
@@ -107,28 +110,27 @@ impl ObjectTable {
         ObjectTable::default()
     }
 
-    /// Inserts a tracked object.
+    /// Inserts a tracked object, replacing any object at the same outer
+    /// address (a recycled sentry slot).
     pub fn insert(&mut self, info: ObjectInfo) {
-        self.user_to_outer.insert(info.user.0, info.outer.0);
         self.by_outer.insert(info.outer.0, info);
     }
 
-    /// Removes the object with the given user pointer.
-    pub fn remove_by_user(&mut self, user: Addr) -> Option<ObjectInfo> {
-        let outer = self.user_to_outer.remove(&user.0)?;
-        self.by_outer.remove(&outer)
+    /// Removes the object with the given outer address.
+    pub fn remove(&mut self, outer: Addr) -> Option<ObjectInfo> {
+        self.by_outer.remove(&outer.0)
     }
 
     /// Looks up the object owning the user pointer.
     pub fn get_by_user(&self, user: Addr) -> Option<&ObjectInfo> {
-        let outer = self.user_to_outer.get(&user.0)?;
-        self.by_outer.get(outer)
+        let (_, info) = self.by_outer.range(..=user.0).next_back()?;
+        (info.user == user).then_some(info)
     }
 
     /// Looks up the object owning the user pointer, mutably.
     pub fn get_by_user_mut(&mut self, user: Addr) -> Option<&mut ObjectInfo> {
-        let outer = *self.user_to_outer.get(&user.0)?;
-        self.by_outer.get_mut(&outer)
+        let (_, info) = self.by_outer.range_mut(..=user.0).next_back()?;
+        (info.user == user).then_some(info)
     }
 
     /// Finds the tracked object whose footprint (padding included)
@@ -197,9 +199,35 @@ mod tests {
         t.insert(obj(0x1000, 0, 64, 0, 1));
         assert!(t.get_by_user(Addr(0x1000)).is_some());
         assert!(t.get_by_user(Addr(0x1001)).is_none());
-        let removed = t.remove_by_user(Addr(0x1000)).unwrap();
+        let removed = t.remove(Addr(0x1000)).unwrap();
         assert_eq!(removed.seq, 1);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn user_lookup_through_padding() {
+        let mut t = ObjectTable::new();
+        t.insert(obj(0x1000, 16, 64, 16, 1));
+        t.insert(obj(0x1060, 0, 32, 0, 2));
+        assert_eq!(t.get_by_user(Addr(0x1010)).unwrap().seq, 1);
+        assert_eq!(t.get_by_user(Addr(0x1060)).unwrap().seq, 2);
+        // Outer addresses and interior pointers name no object.
+        assert!(t.get_by_user(Addr(0x1000)).is_none());
+        assert!(t.get_by_user(Addr(0x1020)).is_none());
+        assert!(t.get_by_user(Addr(0x1068)).is_none());
+        t.get_by_user_mut(Addr(0x1010)).unwrap().size = 8;
+        assert_eq!(t.find_containing(Addr(0x1010)).unwrap().size, 8);
+    }
+
+    #[test]
+    fn reinsert_at_same_outer_retires_old_user_pointer() {
+        // A recycled sentry slot: same outer address, new padding.
+        let mut t = ObjectTable::new();
+        t.insert(obj(0x1000, 16, 64, 16, 1));
+        t.insert(obj(0x1000, 48, 64, 48, 2));
+        assert!(t.get_by_user(Addr(0x1010)).is_none());
+        assert_eq!(t.get_by_user(Addr(0x1030)).unwrap().seq, 2);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -52,10 +52,10 @@ pub struct ChunkHeader {
 }
 
 impl ChunkHeader {
-    /// Reads and decodes the header of the chunk starting at `chunk`.
+    /// Reads and decodes the header of the chunk starting at `chunk`,
+    /// as one 16-byte access when `chunk` is 16-aligned.
     pub fn read(mem: &mut SimMemory, chunk: Addr) -> Result<ChunkHeader, MemFault> {
-        let prev_size = mem.read_u64(chunk)?;
-        let raw = mem.read_u64(chunk.offset(8))?;
+        let (prev_size, raw) = read_words(mem, chunk)?;
         Ok(ChunkHeader {
             prev_size,
             size: raw & !FLAG_MASK,
@@ -64,7 +64,8 @@ impl ChunkHeader {
         })
     }
 
-    /// Encodes and writes this header at `chunk`.
+    /// Encodes and writes this header at `chunk`, as one 16-byte access
+    /// when `chunk` is 16-aligned.
     pub fn write(&self, mem: &mut SimMemory, chunk: Addr) -> Result<(), MemFault> {
         let mut raw = self.size;
         if self.in_use {
@@ -73,8 +74,7 @@ impl ChunkHeader {
         if self.prev_in_use {
             raw |= PREV_INUSE;
         }
-        mem.write_u64(chunk, self.prev_size)?;
-        mem.write_u64(chunk.offset(8), raw)
+        write_words(mem, chunk, self.prev_size, raw)
     }
 
     /// Returns the user-data address of the chunk at `chunk`.
@@ -94,6 +94,38 @@ impl ChunkHeader {
     pub fn usable(size: u64) -> u64 {
         size - HDR_SIZE
     }
+}
+
+/// Reads two little-endian words at `addr`. A 16-aligned pair never
+/// crosses a page, so it is read as one 16-byte access. A misaligned
+/// address (reached only through a corrupt size) or a faulting access
+/// falls back to two 8-byte reads, so the caller sees exactly the fault
+/// that word-at-a-time access reports.
+pub(crate) fn read_words(mem: &mut SimMemory, addr: Addr) -> Result<(u64, u64), MemFault> {
+    let mut buf = [0u8; 16];
+    if addr.is_aligned(ALIGN) && mem.read(addr, &mut buf).is_ok() {
+        let v = u128::from_le_bytes(buf);
+        return Ok((v as u64, (v >> 64) as u64));
+    }
+    Ok((mem.read_u64(addr)?, mem.read_u64(addr.offset(8))?))
+}
+
+/// Writes two little-endian words at `addr`, as one 16-byte access when
+/// `addr` is 16-aligned. A misaligned address or a faulting access takes
+/// two 8-byte writes, so the fault and any partial write match
+/// word-at-a-time access.
+pub(crate) fn write_words(
+    mem: &mut SimMemory,
+    addr: Addr,
+    lo: u64,
+    hi: u64,
+) -> Result<(), MemFault> {
+    let pair = (u128::from(hi) << 64) | u128::from(lo);
+    if addr.is_aligned(ALIGN) && mem.write(addr, &pair.to_le_bytes()).is_ok() {
+        return Ok(());
+    }
+    mem.write_u64(addr, lo)?;
+    mem.write_u64(addr.offset(8), hi)
 }
 
 /// Rounds a user request up to a legal total chunk size.
@@ -139,6 +171,47 @@ mod tests {
         let back = ChunkHeader::read(&mut mem, Addr(0x1000)).unwrap();
         assert_eq!(back.size, 48);
         assert!(back.in_use && back.prev_in_use);
+    }
+
+    #[test]
+    fn misaligned_header_walks_like_word_accesses() {
+        // A header straddling a page boundary (reachable only through a
+        // corrupt size) costs the TLB what two 8-byte reads cost: two
+        // hits on warm pages, never the page-crossing slow path.
+        let mut mem = mem_with_heap();
+        let hdr = ChunkHeader {
+            prev_size: 32,
+            size: 96,
+            in_use: false,
+            prev_in_use: true,
+        };
+        hdr.write(&mut mem, Addr(0x1ff8)).unwrap();
+        let before = mem.tlb_stats();
+        assert_eq!(ChunkHeader::read(&mut mem, Addr(0x1ff8)).unwrap(), hdr);
+        let after = mem.tlb_stats();
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(after.hits, before.hits + 2);
+    }
+
+    #[test]
+    fn header_faults_like_word_accesses() {
+        // The region ends mid-header: the first word is mapped, the
+        // second is not. The fault names the second word, as two 8-byte
+        // accesses would.
+        let mut mem = SimMemory::new();
+        mem.map(Addr(0x1000), 0x18, "short").unwrap();
+        let err = ChunkHeader::read(&mut mem, Addr(0x1010)).unwrap_err();
+        assert_eq!(err, mem.read_u64(Addr(0x1018)).unwrap_err());
+        let hdr = ChunkHeader {
+            prev_size: 7,
+            size: 64,
+            in_use: true,
+            prev_in_use: true,
+        };
+        let err = hdr.write(&mut mem, Addr(0x1010)).unwrap_err();
+        assert_eq!(err, mem.write_u64(Addr(0x1018), 0).unwrap_err());
+        // The first word was written before the fault, as before.
+        assert_eq!(mem.read_u64(Addr(0x1010)).unwrap(), 7);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! The allocator proper: best-fit binned allocation, splitting, coalescing,
-//! `sbrk`-style growth, and integrity checks.
+//! The allocator proper: best-fit allocation from a `(size, addr)`
+//! free index, splitting, coalescing, `sbrk`-style growth, and integrity
+//! checks.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use fa_mem::{Addr, Perms, RegionId, SimMemory, PAGE_SIZE};
 
-use crate::chunk::{request_to_chunk_size, ChunkHeader, ALIGN, HDR_SIZE, MIN_CHUNK};
+use crate::chunk::{request_to_chunk_size, write_words, ChunkHeader, ALIGN, HDR_SIZE, MIN_CHUNK};
 use crate::error::{CorruptKind, HeapError, InvalidFreeKind};
 
 /// Free-list cookie written over the first user bytes of a freed chunk,
@@ -73,12 +74,12 @@ pub struct HeapStats {
 ///
 /// The heap is a contiguous run of chunks from `base` to the break; the
 /// final chunk is the *top*, grown on demand. Free chunks (except the top)
-/// are indexed by size in best-fit bins. All boundary tags live in-band
-/// and are validated on every operation — corruption caused by application
-/// bugs surfaces as [`HeapError`]s, which the First-Aid error monitor
-/// treats as failures.
+/// are indexed by `(size, addr)` for best-fit selection. All boundary tags
+/// live in-band and are validated on every operation — corruption caused
+/// by application bugs surfaces as [`HeapError`]s, which the First-Aid
+/// error monitor treats as failures.
 ///
-/// The host-side state (`bins`, `top`, stats) is `Clone`, so a heap can be
+/// The host-side state (`free`, `top`, stats) is `Clone`, so a heap can be
 /// checkpointed alongside a [`fa_mem::MemSnapshot`] and rolled back.
 #[derive(Clone)]
 pub struct Heap {
@@ -88,8 +89,10 @@ pub struct Heap {
     config: HeapConfig,
     /// Address of the top chunk; spans `[top, brk)`.
     top: Addr,
-    /// Free chunks (excluding top): total size → chunk addresses.
-    bins: BTreeMap<u64, BTreeSet<u64>>,
+    /// Free chunks (excluding top) as `(total size, chunk address)`, so
+    /// the first entry at or above `(csize, 0)` is the best fit: the
+    /// smallest size that fits, lowest address first.
+    free: BTreeSet<(u64, u64)>,
     /// Placement randomization for validation mode (paper §5).
     rng: Option<SmallRng>,
     /// Sampling hook on the alloc fast path (sentry tier).
@@ -180,7 +183,7 @@ impl Heap {
             brk,
             region,
             top: base,
-            bins: BTreeMap::new(),
+            free: BTreeSet::new(),
             rng: None,
             sentry: None,
             stats: HeapStats {
@@ -244,12 +247,10 @@ impl Heap {
         self.stats
     }
 
-    /// Returns the addresses and sizes of all binned free chunks.
+    /// Returns the addresses and sizes of all binned free chunks, by
+    /// size and then address.
     pub fn free_chunks(&self) -> Vec<(Addr, u64)> {
-        self.bins
-            .iter()
-            .flat_map(|(&size, set)| set.iter().map(move |&a| (Addr(a), size)))
-            .collect()
+        self.free.iter().map(|&(size, a)| (Addr(a), size)).collect()
     }
 
     /// Returns `true` if `addr` lies within the heap extent.
@@ -294,27 +295,31 @@ impl Heap {
         Ok(user)
     }
 
-    /// Picks the best-fit bin chunk for `csize`, honouring randomization.
+    /// Picks the best-fit free chunk for `csize`, honouring
+    /// randomization: validation mode skips up to two sizes past the
+    /// best fit, falling back to the best fit when fewer larger sizes
+    /// are free.
     fn pick_bin(&mut self, mem: &mut SimMemory, csize: u64) -> Option<(u64, u64)> {
         let skip = match &mut self.rng {
-            Some(rng) => rng.random_range(0u32..3) as usize,
+            Some(rng) => rng.random_range(0u32..3),
             None => 0,
         };
-        let candidates: Vec<u64> = self
-            .bins
-            .range(csize..)
-            .take(skip + 1)
-            .map(|(&s, _)| s)
-            .collect();
-        let &bin_size = candidates.get(skip).or_else(|| candidates.first())?;
-        let set = self.bins.get_mut(&bin_size)?;
-        let &chunk = set.iter().next()?;
-        set.remove(&chunk);
-        if set.is_empty() {
-            self.bins.remove(&bin_size);
+        let best = *self.free.range((csize, 0)..).next()?;
+        let mut pick = best;
+        for _ in 0..skip {
+            // The lowest-addressed chunk of the next larger size.
+            match self.free.range((pick.0 + 1, 0)..).next() {
+                Some(&next) => pick = next,
+                None => {
+                    pick = best;
+                    break;
+                }
+            }
         }
-        self.set_binned_poison(mem, Addr(chunk), bin_size, false);
-        Some((bin_size, chunk))
+        self.free.remove(&pick);
+        let (size, chunk) = pick;
+        self.set_binned_poison(mem, Addr(chunk), size, false);
+        Some(pick)
     }
 
     fn alloc_from_bin(
@@ -361,7 +366,7 @@ impl Heap {
             next_hdr.prev_size = rem_size;
             next_hdr.prev_in_use = false;
             next_hdr.write(mem, next)?;
-            self.bins.entry(rem_size).or_default().insert(rem.0);
+            self.free.insert((rem_size, rem.0));
             self.set_binned_poison(mem, rem, rem_size, true);
         } else {
             ChunkHeader {
@@ -427,7 +432,7 @@ impl Heap {
                 prev_in_use,
             }
             .write(mem, chunk)?;
-            self.bins.entry(gap).or_default().insert(chunk.0);
+            self.free.insert((gap, chunk.0));
             self.set_binned_poison(mem, chunk, gap, true);
             chunk = chunk.offset(gap);
             prev_size = gap;
@@ -558,7 +563,7 @@ impl Heap {
         after.prev_size = size;
         after.prev_in_use = false;
         after.write(mem, merged_next)?;
-        self.bins.entry(size).or_default().insert(start.0);
+        self.free.insert((size, start.0));
         self.clobber_freed(mem, start)?;
         self.set_binned_poison(mem, start, size, true);
         Ok(())
@@ -568,25 +573,21 @@ impl Heap {
     /// chunk, mimicking dlmalloc's in-band `fd`/`bk` pointers.
     fn clobber_freed(&self, mem: &mut SimMemory, chunk: Addr) -> Result<(), HeapError> {
         let user = ChunkHeader::user_of(chunk);
-        mem.write_u64(user, FREE_COOKIE ^ chunk.0)?;
-        mem.write_u64(user.offset(8), FREE_COOKIE.rotate_left(17) ^ chunk.0)?;
+        write_words(
+            mem,
+            user,
+            FREE_COOKIE ^ chunk.0,
+            FREE_COOKIE.rotate_left(17) ^ chunk.0,
+        )?;
         Ok(())
     }
 
     fn unbin(&mut self, mem: &mut SimMemory, chunk: Addr, size: u64) -> bool {
-        match self.bins.get_mut(&size) {
-            Some(set) => {
-                let present = set.remove(&chunk.0);
-                if set.is_empty() {
-                    self.bins.remove(&size);
-                }
-                if present {
-                    self.set_binned_poison(mem, chunk, size, false);
-                }
-                present
-            }
-            None => false,
+        let present = self.free.remove(&(size, chunk.0));
+        if present {
+            self.set_binned_poison(mem, chunk, size, false);
         }
+        present
     }
 
     /// Returns the pages lying fully inside the poisonable interior of a

@@ -12,8 +12,9 @@
 //! * chunk metadata (boundary tags: `prev_size`, `size | flags`) lives
 //!   **in-band**, inside the simulated memory, directly before each user
 //!   area, where overflowing application writes can and do corrupt it;
-//! * free chunks are binned by size with best-fit selection, split on
-//!   allocation and coalesced with free neighbours on deallocation;
+//! * free chunks are indexed by `(size, addr)` with best-fit selection
+//!   (smallest fitting size, then lowest address), split on allocation
+//!   and coalesced with free neighbours on deallocation;
 //! * the heap ends in a *top* chunk grown with `sbrk`-style region
 //!   extension;
 //! * every malloc/free validates the boundary tags it touches and reports
@@ -24,11 +25,16 @@
 //!   First-Aid's validation engine (paper §5) to check that a runtime
 //!   patch's effect is consistent under memory-layout randomization.
 //!
-//! The free-chunk *index* (the bins) is kept out-of-band in host memory for
-//! simplicity; the boundary tags that matter for bug manifestation are
-//! in-band. Freeing clobbers the first 16 bytes of the user area with a
-//! free-list cookie, like dlmalloc's `fd`/`bk` pointers, so dangling reads
-//! of freshly freed data observe garbage.
+//! The free-chunk *index* is kept out-of-band in host memory for
+//! simplicity: one ordered set of `(size, addr)` pairs, whose first entry
+//! at or above `(csize, 0)` is the best fit. Validation mode's randomized
+//! pick steps from there to the next distinct sizes. The boundary tags
+//! that matter for bug manifestation are in-band. Chunks are 16-aligned,
+//! so a 16-byte header never crosses a page and is read or written as
+//! one simulated-memory access (see [`ChunkHeader::read`]). Freeing
+//! clobbers the first 16 bytes of the user area with a free-list cookie,
+//! like dlmalloc's `fd`/`bk` pointers, so dangling reads of freshly freed
+//! data observe garbage.
 //!
 //! # Examples
 //!

@@ -6,8 +6,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
-cargo test -q --offline -p fa-faults
+# Every test in the workspace: the root suite, fa-faults, and the
+# per-crate proptests and differential tests (fa-mem, fa-heap,
+# fa-allocext, fa-wal, fa-exec, ...).
+cargo test -q --offline --workspace
 cargo fmt --check
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
@@ -16,8 +18,9 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 cargo run --release --offline -p fa-bench --bin faults -- --check
 
 # Performance regression gate: wall-clock throughput and snapshot cost
-# vs the committed results/perf.json baseline, plus the >=2x
-# virtual-time speedup of parallel diagnosis on Apache and Squid.
+# and the TLB walk count vs the committed results/perf.json baseline,
+# plus the >=2x virtual-time speedup of parallel diagnosis on Apache
+# and Squid.
 cargo run --release --offline -p fa-bench --bin perf -- --check
 
 # Sentry gate: at rate 1/64 the mean allocator overhead must stay under
