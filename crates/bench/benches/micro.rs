@@ -120,6 +120,19 @@ fn bench_canary(c: &mut Criterion) {
             assert!(check_canary(&mut mem, base, len).unwrap().is_none());
         });
     });
+    group.bench_function("check_64k_corrupt_tail", |b| {
+        // One bad byte in the last page: the clean path up to it, then
+        // the first-offset and count work of a mismatch.
+        let mut mem = SimMemory::new();
+        let base = Addr(0x1000_0000);
+        mem.map(base, 1 << 20, "heap").unwrap();
+        fill_canary(&mut mem, base, len).unwrap();
+        let bad = len - 100;
+        mem.write_u8(base.offset(bad), 0).unwrap();
+        b.iter(|| {
+            assert_eq!(check_canary(&mut mem, base, len).unwrap(), Some((bad, 1)));
+        });
+    });
     group.finish();
 }
 

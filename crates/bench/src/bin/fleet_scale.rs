@@ -4,8 +4,9 @@
 //! `--check` is the CI regression gate: it re-runs the measurements,
 //! compares the deterministic virtual-time quantities (immunity,
 //! hits/failures, checksum) *exactly* against the committed baseline,
-//! enforces the ≥5× lock-free query speedup and sublinear
-//! time-to-fleet-immunity absolutely, and exits nonzero on any
+//! holds the median of seven timed query phases per scale point to the
+//! throughput floor, enforces the ≥5× lock-free query speedup and
+//! sublinear time-to-fleet-immunity absolutely, and exits nonzero on any
 //! violation without touching the baseline.
 
 use fa_bench::fleet_scale;

@@ -42,6 +42,11 @@ pub const SUBLINEAR_FACTOR: f64 = 3.163;
 /// baseline before the gate fires (same slack policy as `perf`).
 pub const THROUGHPUT_SLACK: f64 = 0.35;
 
+/// Query phases timed per scale point under `--check`; the gate reads
+/// their median. At 10² and 10³ workers one phase lasts 0.3–1.2 ms, too
+/// short for a single shot to hold on a shared host.
+pub const CHECK_REPS: usize = 7;
+
 /// One application's diagnosis-phase result.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScaleApp {
@@ -130,8 +135,10 @@ fn scale_config(workers: usize) -> ScaleConfig {
 }
 
 /// Runs the full benchmark. `check` trims the latency iteration count
-/// (a wall-clock-only measurement); every deterministic quantity uses
-/// identical parameters in both modes so the exact-equality gates hold.
+/// and times each scale point's query phase [`CHECK_REPS`] times,
+/// reporting the median phase (wall-clock-only changes); every
+/// deterministic quantity uses identical parameters in both modes so the
+/// exact-equality gates hold.
 pub fn measure(check: bool) -> FleetScaleReport {
     let plans = diagnose_plans();
     let apps = plans
@@ -147,7 +154,10 @@ pub fn measure(check: bool) -> FleetScaleReport {
     let mut last_fleet: Option<ScaleFleet> = None;
     for workers in SIZES {
         let fleet = ScaleFleet::new(scale_config(workers), plans.clone());
-        let o = fleet.run();
+        let reps = if check { CHECK_REPS } else { 1 };
+        let mut runs: Vec<_> = (0..reps).map(|_| fleet.run()).collect();
+        runs.sort_by_key(|o| o.elapsed_ns);
+        let o = runs.swap_remove(reps / 2);
         points.push(ScalePoint {
             workers: o.workers,
             cells: o.cells,

@@ -21,7 +21,8 @@ pub fn fill_canary(mem: &mut SimMemory, addr: Addr, len: u64) -> Result<(), MemF
     mem.fill(addr, len, CANARY_BYTE)
 }
 
-/// Checks the canary in `[addr, addr + len)`.
+/// Checks the canary in `[addr, addr + len)`, in place (see
+/// [`SimMemory::check_fill`]).
 ///
 /// Returns `None` if intact, or `Some((first_bad_offset, bad_count))`
 /// describing the corruption — the location information First-Aid uses to
@@ -31,18 +32,7 @@ pub fn check_canary(
     addr: Addr,
     len: u64,
 ) -> Result<Option<(u64, u64)>, MemFault> {
-    let bytes = mem.read_bytes(addr, len)?;
-    let mut first: Option<u64> = None;
-    let mut count = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != CANARY_BYTE {
-            if first.is_none() {
-                first = Some(i as u64);
-            }
-            count += 1;
-        }
-    }
-    Ok(first.map(|f| (f, count)))
+    mem.check_fill(addr, len, CANARY_BYTE)
 }
 
 #[cfg(test)]

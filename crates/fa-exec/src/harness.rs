@@ -110,14 +110,12 @@ impl ReplayHarness {
         plan: ChangePlan,
         opts: &ReexecOptions,
     ) -> FaResult<RunReport> {
-        let ckpt = manager
+        manager
             .get(ckpt_id)
             .ok_or(FaError::CheckpointMissing(ckpt_id))?;
-        if !ckpt.verify() {
-            return Err(FaError::CheckpointCorrupt(ckpt_id));
-        }
-        // `restore_into` re-verifies; the ring cannot change under the
-        // shared borrow, so this cannot fail past the checks above.
+        // The checkpoint is retained, so `restore_into` can only refuse it
+        // for failing its checksum; it digests the snapshot once and
+        // restores nothing on a mismatch.
         if !manager.restore_into(process, ckpt_id) {
             return Err(FaError::CheckpointCorrupt(ckpt_id));
         }
@@ -488,6 +486,38 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, FaError::CheckpointMissing(999));
+    }
+
+    #[test]
+    fn try_reexecute_rejects_a_rotted_checkpoint_unrestored() {
+        let (mut proc, mut mgr) = launch();
+        for i in 0..5 {
+            proc.feed(normal(i));
+        }
+        let ckpt = mgr.force_checkpoint(&mut proc);
+        for i in 0..3 {
+            proc.feed(normal(i));
+        }
+        assert!(mgr.corrupt_data(ckpt), "the snapshot holds page data");
+        let (cursor, now) = (proc.cursor(), proc.ctx.clock.now());
+        let digest = proc.ctx.mem.snapshot().content_digest();
+        let err = ReplayHarness::try_reexecute(
+            &mut proc,
+            &mgr,
+            ckpt,
+            ChangePlan::none(),
+            &ReexecOptions {
+                mark_heap: false,
+                timing_seed: 0,
+                until_cursor: cursor,
+                integrity_check: false,
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, FaError::CheckpointCorrupt(ckpt));
+        assert_eq!(proc.cursor(), cursor, "the process was rolled back");
+        assert_eq!(proc.ctx.clock.now(), now, "a rollback cost was charged");
+        assert_eq!(proc.ctx.mem.snapshot().content_digest(), digest);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   analog of a SIGSEGV caught by First-Aid's error monitor; accesses to
 //!   [`Perms::GUARD`]/[`Perms::POISONED`] pages raise
 //!   [`MemFault::GuardTrap`],
+//! * [`SimMemory::check_fill`] compares a range against one byte where it
+//!   lies, with a read's faults and accounting but no copy — the
+//!   allocator extension's canary check,
 //! * a direct-mapped, 64-entry TLB caches per-page permissions in front
 //!   of the walk ([`SimMemory::tlb_stats`] reports hit rates),
 //! * [`SimMemory::snapshot`] produces an O(1) copy-on-write snapshot

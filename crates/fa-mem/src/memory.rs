@@ -550,6 +550,52 @@ impl SimMemory {
         Ok(())
     }
 
+    /// Checks that every byte of `[addr, addr + len)` equals `byte`, in
+    /// place: the result of a [`Self::read`] of the range followed by a
+    /// byte loop, without the copy.
+    ///
+    /// Returns `None` if every byte matches, or
+    /// `Some((first_bad_offset, bad_count))`. The access is validated and
+    /// charged exactly like a `read` of `len` bytes: the same TLB lookups
+    /// and misses, the same faults ([`MemFault::GuardTrap`] on guard and
+    /// poisoned pages included) and the same [`Self::bytes_read`] count.
+    /// Frames are reached through the read-only walk, so no frame
+    /// materializes, no shared frame is replicated and no cached page
+    /// hash is invalidated; a vacant page compares as zeros, as `read`
+    /// returns it. The clean path compares 64-byte blocks a word at a
+    /// time; the first bad offset and the bad count are worked out only
+    /// once a block mismatches.
+    pub fn check_fill(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        byte: u8,
+    ) -> Result<Option<(u64, u64)>, MemFault> {
+        static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        self.access_check(addr, len, AccessKind::Read)?;
+        self.bytes_read += len;
+        let mut first: Option<u64> = None;
+        let mut bad = 0u64;
+        let mut done = 0u64;
+        while done < len {
+            let cursor = addr.offset(done);
+            let off = cursor.page_offset();
+            let take = ((PAGE_SIZE - off) as u64).min(len - done) as usize;
+            let page = table::walk(&self.root, cursor.page())
+                .and_then(|e| e.frame.as_ref())
+                .map_or(&ZEROS, |frame| frame.bytes());
+            let bytes = &page[off..off + take];
+            if first.is_some() {
+                bad += mismatch_count(bytes, byte);
+            } else if let Some(i) = first_mismatch(bytes, byte) {
+                first = Some(done + i as u64);
+                bad = mismatch_count(&bytes[i..], byte);
+            }
+            done += take as u64;
+        }
+        Ok(first.map(|f| (f, bad)))
+    }
+
     /// Copies `len` bytes from `src` to `dst` through a page-sized stack
     /// buffer — overlap-safe in both directions (`memmove`), without
     /// allocating a `len`-sized temporary.
@@ -679,6 +725,49 @@ impl Default for SimMemory {
     fn default() -> Self {
         SimMemory::new()
     }
+}
+
+/// `byte` in every lane of a word.
+fn splat(byte: u8) -> u64 {
+    u64::from_ne_bytes([byte; 8])
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_ne_bytes(bytes.try_into().expect("8-byte chunk"))
+}
+
+/// Offset of the first byte of `bytes` that differs from `byte`. Each
+/// 64-byte block is tested as the OR of eight word XORs; only a block
+/// that mismatches is searched byte by byte.
+fn first_mismatch(bytes: &[u8], byte: u8) -> Option<usize> {
+    let pat = splat(byte);
+    let mut blocks = bytes.chunks_exact(64);
+    for (n, block) in blocks.by_ref().enumerate() {
+        let diff = block
+            .chunks_exact(8)
+            .fold(0, |acc, w| acc | (word(w) ^ pat));
+        if diff != 0 {
+            return block.iter().position(|&b| b != byte).map(|i| n * 64 + i);
+        }
+    }
+    let tail = blocks.remainder();
+    let base = bytes.len() - tail.len();
+    tail.iter().position(|&b| b != byte).map(|i| base + i)
+}
+
+/// Number of bytes of `bytes` that differ from `byte`, a word at a time.
+fn mismatch_count(bytes: &[u8], byte: u8) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let pat = splat(byte);
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0u64;
+    for w in words.by_ref() {
+        let x = word(w) ^ pat;
+        // Bit 7 of a lane ends up set iff the lane is nonzero; the add
+        // cannot carry across lanes (0x7f + 0x7f < 0x100).
+        n += u64::from(((((x & LOW7) + LOW7) | x) & !LOW7).count_ones());
+    }
+    n + words.remainder().iter().filter(|&&b| b != byte).count() as u64
 }
 
 #[cfg(test)]

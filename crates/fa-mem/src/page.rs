@@ -72,6 +72,12 @@ impl Page {
         self.hash.store(h, Ordering::Relaxed);
         h
     }
+
+    /// Returns `true` if the content hash is cached, i.e. computed and
+    /// not invalidated by a write since.
+    pub fn hash_cached(&self) -> bool {
+        self.hash.load(Ordering::Relaxed) != HASH_UNCOMPUTED
+    }
 }
 
 impl Clone for Page {

@@ -98,6 +98,15 @@ impl MemSnapshot {
         h
     }
 
+    /// Returns the number of referenced pages whose content hash is
+    /// cached: the pages the next [`Self::content_digest`] need not
+    /// rehash.
+    pub fn hashed_page_count(&self) -> usize {
+        let mut n = 0;
+        table::for_each_frame(&self.root, |_, frame| n += usize::from(frame.hash_cached()));
+        n
+    }
+
     /// Flips one byte of a referenced page *in this snapshot only* (the
     /// live address space and other snapshots are CoW-isolated from the
     /// damage). Returns `false` if the snapshot references no pages.

@@ -10,6 +10,9 @@ cargo build --release --offline
 # per-crate proptests and differential tests (fa-mem, fa-heap,
 # fa-allocext, fa-wal, fa-exec, ...).
 cargo test -q --offline --workspace
+# The benchmark package (fabench/) is its own workspace: its arithmetic
+# tests (statistics, host correction) run here.
+cargo test -q --offline --manifest-path fabench/Cargo.toml
 cargo fmt --check
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
@@ -38,7 +41,8 @@ cargo run --release --offline -p fa-bench --bin crash -- --check
 # Patch-plane scale gate: lock-free reads must beat the locked baseline
 # by >=5x under contention, time-to-fleet-immunity must stay sublinear
 # from 10^2 to 10^5 workers, and the virtual-time propagation outputs
-# must match results/fleet_scale.json exactly (seeded + deterministic).
+# must match results/fleet_scale.json exactly (seeded + deterministic);
+# query throughput is the median of seven timed phases per fleet size.
 # Single-worker throughput regressions are covered by the perf gate
 # above; this gate covers the fleet-scale query path.
 cargo run --release --offline -p fa-bench --bin fleet_scale -- --check
