@@ -2,7 +2,6 @@
 //! First-Aid vs Rx vs restart, Apache and Squid). Also writes the raw
 //! series to `results/fig4.json`.
 
-use fa_apps::spec_by_key;
 use fa_bench::fig4;
 use serde::Serialize;
 
@@ -12,21 +11,11 @@ struct Results {
 }
 
 fn main() {
-    let mut results = Results {
-        figures: Vec::new(),
+    let results = Results {
+        figures: fig4::figures(),
     };
-    for key in ["apache", "squid"] {
-        let spec = spec_by_key(key).unwrap();
-        let fig = fig4::run_app(&spec, 14_000, 2_500);
-        println!("{}", fig4::render(&fig));
-        for s in &fig.series {
-            println!("# {} raw series (s, MB/s):", s.system);
-            for (t, v) in &s.points {
-                println!("{t:.2}\t{v:.3}");
-            }
-            println!();
-        }
-        results.figures.push(fig);
+    for fig in &results.figures {
+        print!("{}", fig4::render_with_series(fig));
     }
     match serde_json::to_string_pretty(&results) {
         Ok(json) => {

@@ -6,7 +6,7 @@
 //! *every* trigger (it survives but disables its changes); restart dips
 //! on every trigger and pays full downtime.
 
-use fa_apps::{AppSpec, WorkloadSpec};
+use fa_apps::{spec_by_key, AppSpec, WorkloadSpec};
 use fa_checkpoint::AdaptiveConfig;
 use first_aid_core::{FirstAidRuntime, PatchPool, RestartRuntime, RxRuntime, ThroughputSampler};
 use serde::Serialize;
@@ -139,6 +139,30 @@ pub fn render(fig: &Fig4) -> String {
             s.failures,
             s.stall_windows(),
         ));
+    }
+    out
+}
+
+/// Runs the paper's two cases, Apache and Squid, at the experiment's
+/// scale.
+pub fn figures() -> Vec<Fig4> {
+    ["apache", "squid"]
+        .into_iter()
+        .map(|key| run_app(&spec_by_key(key).expect("registered app"), 14_000, 2_500))
+        .collect()
+}
+
+/// Renders a figure followed by its raw `(s, MB/s)` series, as the
+/// `fig4` binary prints it.
+pub fn render_with_series(fig: &Fig4) -> String {
+    let mut out = render(fig);
+    out.push('\n');
+    for s in &fig.series {
+        out.push_str(&format!("# {} raw series (s, MB/s):\n", s.system));
+        for (t, v) in &s.points {
+            out.push_str(&format!("{t:.2}\t{v:.3}\n"));
+        }
+        out.push('\n');
     }
     out
 }

@@ -11,9 +11,14 @@
 //!
 //! * **Writer plane** (this module): every mutation — publish, revoke,
 //!   canary traffic, journal replay — runs under one mutex, where the
-//!   quarantine gate, tombstones and journaling live. Before releasing
-//!   the mutex the writer rebuilds the affected program's snapshot and
-//!   publishes it to the read plane with one atomic pointer swap.
+//!   quarantine gate, tombstones and journaling live. Each pool state
+//!   transition is one [`WalOp`], and one function, `Pools::apply`,
+//!   carries it out: a live mutation decides its ops from the current
+//!   state and applies them, and journal replay applies the recorded
+//!   ops, so replay equals the live run by construction. One `commit`
+//!   step then journals the ops and, before releasing the mutex,
+//!   rebuilds the affected program's snapshot and publishes it to the
+//!   read plane with one atomic pointer swap.
 //! * **Read plane** ([`plane`]): the allocation fast path. [`PatchPool::get`]
 //!   is one `Acquire` pointer load, one hash lookup and one `Arc`
 //!   clone — zero locks, zero `PatchSet` clones, and pointer-stable
@@ -26,6 +31,8 @@
 //! counters, and an epoch-stamped event log ([`PatchPool::events`])
 //! that tells subscribers *which* program moved, so a worker refreshes
 //! only on events for its own program instead of on any pool movement.
+//! Both are derived from the committed ops: the version moves by one
+//! per epoch-bumping op, and each call emits one event per op kind.
 //!
 //! Two crash-safety layers sit underneath:
 //!
@@ -45,7 +52,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use fa_allocext::{Patch, PatchSet};
 use fa_exec::Backoff;
@@ -53,7 +60,7 @@ use fa_faults::{FaultPlan, FaultStage};
 use fa_proc::CallSite;
 use fa_wal::{
     CanaryOp, DenyOp, PoolSnapshot, ProgramSnapshot, PublishOp, QuarantineEntry, RevokeOp, SiteOp,
-    Wal, WalOp, WalRecord,
+    Wal, WalOp,
 };
 
 use crate::log;
@@ -119,6 +126,32 @@ impl SiteState {
             ..SiteState::default()
         }
     }
+
+    /// How a patch at this revoked site fares at the re-admission gate
+    /// when offered by a clone scoped to `scope`.
+    fn gate(&self, scope: Option<u64>) -> Gate {
+        if self.quarantined && (scope.is_none() || self.canary.is_some()) {
+            // Fleet-wide publication of a quarantined site is always
+            // refused (re-admission goes via a canary), and a site
+            // flies one canary at a time.
+            Gate::Refuse
+        } else if self.denials < self.window {
+            Gate::Deny(self.denials + 1)
+        } else {
+            match scope {
+                Some(worker) if self.quarantined => Gate::Canary(worker),
+                _ => Gate::Publish,
+            }
+        }
+    }
+
+    /// The `(flaps, window, quarantined)` counters after one more
+    /// revocation under `policy`: the denial window doubles per flap.
+    fn flapped(&self, policy: QuarantinePolicy) -> (u32, u32, bool) {
+        let flaps = self.flaps + 1;
+        let window = (1u32 << (flaps - 1).min(16)).min(policy.max_window.max(1));
+        (flaps, window, flaps >= policy.quarantine_after)
+    }
 }
 
 /// How one patch fares at the re-admission gate.
@@ -150,11 +183,208 @@ struct Pools {
 }
 
 impl Pools {
-    fn bump_epoch(&mut self, program: &str) {
-        *self.epoch_by_program.entry(program.to_owned()).or_insert(0) += 1;
+    fn epoch(&self, program: &str) -> u64 {
+        self.epoch_by_program.get(program).copied().unwrap_or(0)
+    }
+
+    fn patch_count(&self, program: &str) -> usize {
+        self.by_program.get(program).map_or(0, Vec::len)
+    }
+
+    fn has_patch(&self, program: &str, patch: &Patch) -> bool {
+        self.by_program
+            .get(program)
+            .is_some_and(|list| list.contains(patch))
+    }
+
+    fn has_site(&self, program: &str, site: CallSite) -> bool {
+        self.by_program
+            .get(program)
+            .is_some_and(|list| list.iter().any(|p| p.site == site))
+    }
+
+    fn is_revoked(&self, program: &str, site: CallSite) -> bool {
+        self.revoked_by_program
+            .get(program)
+            .is_some_and(|s| s.contains(&site))
+    }
+
+    fn site(&self, program: &str, site: CallSite) -> Option<&SiteState> {
+        self.quarantine_by_program.get(program)?.get(&site)
+    }
+
+    fn site_mut(&mut self, program: &str, site: CallSite) -> Option<&mut SiteState> {
+        self.quarantine_by_program.get_mut(program)?.get_mut(&site)
+    }
+
+    fn tracked_site(&mut self, program: &str, site: CallSite) -> &mut SiteState {
+        self.quarantine_by_program
+            .entry(program.to_owned())
+            .or_default()
+            .entry(site)
+            .or_insert_with(SiteState::tracked)
+    }
+
+    /// Every program with any pool state, sorted.
+    fn programs(&self) -> Vec<&String> {
+        let mut programs: Vec<&String> = self
+            .by_program
+            .keys()
+            .chain(self.epoch_by_program.keys())
+            .chain(self.revoked_by_program.keys())
+            .chain(self.quarantine_by_program.keys())
+            .collect();
+        programs.sort();
+        programs.dedup();
+        programs
+    }
+
+    /// Applies `op` and queues it for `PatchPool::commit`.
+    fn push(&mut self, ops: &mut Vec<WalOp>, op: WalOp) {
+        self.apply(&op);
+        ops.push(op);
+    }
+
+    /// Carries out one transition. Every change to patches, epochs,
+    /// tombstones and quarantine state goes through here, for live
+    /// mutations and journal replay alike; each epoch-bumping op
+    /// advances its program's epoch by one. Quarantine records carry
+    /// their resulting counters, so applying them needs no policy.
+    fn apply(&mut self, op: &WalOp) {
+        match op {
+            WalOp::PatchPublish(op) => {
+                // A publish implies every carried site was admissible:
+                // clear any tombstone (re-admission) and its denials.
+                for p in &op.patches {
+                    if let Some(set) = self.revoked_by_program.get_mut(&op.program) {
+                        set.remove(&p.site);
+                    }
+                    if let Some(st) = self.site_mut(&op.program, p.site) {
+                        st.denials = 0;
+                    }
+                }
+                let list = self.by_program.entry(op.program.clone()).or_default();
+                for p in &op.patches {
+                    if !list.contains(p) {
+                        list.push(p.clone());
+                    }
+                }
+            }
+            WalOp::PatchRevoke(op) => {
+                self.revoked_by_program
+                    .entry(op.program.clone())
+                    .or_default()
+                    .insert(op.site);
+                if let Some(list) = self.by_program.get_mut(&op.program) {
+                    list.retain(|p| p.site != op.site);
+                }
+                if op.flaps > 0 {
+                    let st = self.tracked_site(&op.program, op.site);
+                    st.flaps = op.flaps;
+                    st.window = op.window;
+                    st.denials = 0;
+                    st.quarantined = op.quarantined;
+                }
+            }
+            WalOp::PatchRemove(op) => {
+                if let Some(list) = self.by_program.get_mut(&op.program) {
+                    list.retain(|p| p.site != op.site);
+                }
+            }
+            WalOp::SiteDenied(op) => {
+                self.tracked_site(&op.program, op.site).denials = op.denials;
+            }
+            WalOp::CanaryAdmit(op) => {
+                let st = self.tracked_site(&op.program, op.site);
+                st.canary = Some((op.worker, op.patches.clone()));
+                st.denials = 0;
+            }
+            WalOp::CanaryPromote(op) => {
+                let candidate = self.site_mut(&op.program, op.site).and_then(|st| {
+                    st.quarantined = false;
+                    st.denials = 0;
+                    st.canary.take()
+                });
+                if let Some(set) = self.revoked_by_program.get_mut(&op.program) {
+                    set.remove(&op.site);
+                }
+                if let Some((_, patches)) = candidate {
+                    let list = self.by_program.entry(op.program.clone()).or_default();
+                    for p in patches {
+                        if !list.contains(&p) {
+                            list.push(p);
+                        }
+                    }
+                }
+            }
+            WalOp::CanaryReject(op) => {
+                if let Some(st) = self.site_mut(&op.program, op.site) {
+                    st.canary = None;
+                }
+            }
+            WalOp::Snapshot(snap) => {
+                self.by_program.clear();
+                self.epoch_by_program.clear();
+                self.revoked_by_program.clear();
+                self.quarantine_by_program.clear();
+                for prog in &snap.programs {
+                    self.by_program
+                        .insert(prog.program.clone(), prog.patches.clone());
+                    self.epoch_by_program
+                        .insert(prog.program.clone(), prog.epoch);
+                    self.revoked_by_program
+                        .insert(prog.program.clone(), prog.revoked.iter().copied().collect());
+                    let sites: HashMap<CallSite, SiteState> = prog
+                        .quarantine
+                        .iter()
+                        .map(|e| {
+                            (
+                                e.site,
+                                SiteState {
+                                    flaps: e.flaps,
+                                    window: e.window,
+                                    denials: e.denials,
+                                    quarantined: e.quarantined,
+                                    canary: e.canary_worker.map(|w| (w, e.canary_patches.clone())),
+                                },
+                            )
+                        })
+                        .collect();
+                    if !sites.is_empty() {
+                        self.quarantine_by_program
+                            .insert(prog.program.clone(), sites);
+                    }
+                }
+            }
+            // Runtime/fleet records: not pool state.
+            WalOp::CheckpointRegister(_)
+            | WalOp::CheckpointPrune(_)
+            | WalOp::SentrySuppress(_)
+            | WalOp::LadderDescend(_)
+            | WalOp::WorkerJoin(_)
+            | WalOp::WorkerLeave(_) => {}
+        }
+        if let Some(program) = op.program().filter(|_| op.bumps_epoch()) {
+            *self.epoch_by_program.entry(program.to_owned()).or_insert(0) += 1;
+        }
     }
 }
 
+/// The event a committed op announces, if any.
+fn event_kind(op: &WalOp) -> Option<PoolEventKind> {
+    Some(match op {
+        WalOp::PatchPublish(_) => PoolEventKind::Publish,
+        WalOp::PatchRevoke(_) => PoolEventKind::Revoke,
+        WalOp::PatchRemove(_) => PoolEventKind::Remove,
+        WalOp::CanaryAdmit(_) => PoolEventKind::CanaryAdmit,
+        WalOp::CanaryPromote(_) => PoolEventKind::CanaryPromote,
+        // Suppression syncs do not bump epochs (they are runtime
+        // records, not pool state), but fleet observers still want to
+        // see them flow past.
+        WalOp::SentrySuppress(_) => PoolEventKind::Suppress,
+        _ => return None,
+    })
+}
 /// A shared, optionally persistent pool of runtime patches, keyed by
 /// program name.
 ///
@@ -332,24 +562,17 @@ impl PatchPool {
 
     /// Appends a non-pool supervision record (checkpoint registration,
     /// ladder descent, worker membership, ...) to the journal, if any,
-    /// keeping the replay watermark in step.
+    /// through the same apply-and-commit path as the pool's own
+    /// mutations, so the replay watermark stays in step and a sentry
+    /// suppression is announced as a [`PoolEventKind::Suppress`] event.
     pub fn journal_append(&self, op: WalOp) {
         if self.journal.is_none() {
             return;
         }
         let mut pools = self.inner.lock();
-        // Suppression syncs do not bump epochs (they are runtime
-        // records, not pool state), but fleet observers still want to
-        // see them flow past.
-        let suppressed = match &op {
-            WalOp::SentrySuppress(s) => Some(s.program.clone()),
-            _ => None,
-        };
-        self.journal_ops(&mut pools, vec![op]);
-        if let Some(program) = suppressed {
-            let epoch = pools.epoch_by_program.get(&program).copied().unwrap_or(0);
-            self.events.emit(&program, epoch, PoolEventKind::Suppress);
-        }
+        let mut ops = Vec::new();
+        pools.push(&mut ops, op);
+        self.commit(pools, ops);
     }
 
     /// Replays the journal into the pool. Records at or below the
@@ -363,24 +586,23 @@ impl PatchPool {
         let mut applied = 0usize;
         let mut bumps = 0u64;
         for record in &records {
-            if Self::apply_record(&mut pools, record) {
-                applied += 1;
-                if record.op.bumps_epoch() || matches!(record.op, WalOp::Snapshot(_)) {
-                    bumps += 1;
-                }
+            if record.seq <= pools.last_seq {
+                continue;
+            }
+            pools.last_seq = record.seq;
+            pools.apply(&record.op);
+            applied += 1;
+            if record.op.bumps_epoch() || matches!(record.op, WalOp::Snapshot(_)) {
+                bumps += 1;
             }
         }
         if applied > 0 {
             // Replay bypassed the per-mutation publishes: rebuild the
             // whole plane once and announce each recovered program.
             self.republish_all(&pools);
-            let programs: Vec<(String, u64)> = pools
-                .epoch_by_program
-                .iter()
-                .map(|(p, e)| (p.clone(), *e))
-                .collect();
-            for (program, epoch) in programs {
-                self.events.emit(&program, epoch, PoolEventKind::Recovered);
+            for program in pools.programs() {
+                self.events
+                    .emit(program, pools.epoch(program), PoolEventKind::Recovered);
             }
         }
         drop(pools);
@@ -449,7 +671,7 @@ impl PatchPool {
             }
         }
         PlaneEntry {
-            epoch: pools.epoch_by_program.get(program).copied().unwrap_or(0),
+            epoch: pools.epoch(program),
             set: Arc::new(PatchSet::from_patches(base)),
             scoped,
         }
@@ -469,16 +691,8 @@ impl PatchPool {
     /// Rebuilds the whole plane from the writer state (initial load,
     /// journal replay). Called with the pool mutex held.
     fn republish_all(&self, pools: &Pools) {
-        let mut programs: Vec<&String> = pools
-            .by_program
-            .keys()
-            .chain(pools.epoch_by_program.keys())
-            .chain(pools.revoked_by_program.keys())
-            .chain(pools.quarantine_by_program.keys())
-            .collect();
-        programs.sort();
-        programs.dedup();
-        let mut entries: Vec<(String, PlaneEntry)> = programs
+        let mut entries: Vec<(String, PlaneEntry)> = pools
+            .programs()
             .into_iter()
             .map(|p| (p.clone(), Self::rebuild_entry(pools, p)))
             .collect();
@@ -522,9 +736,7 @@ impl PatchPool {
     /// counterpart of [`PatchPool::get_with_epoch`].
     pub fn get_locked_with_epoch(&self, program: &str) -> (PatchSet, u64) {
         let pools = self.inner.lock();
-        let set = self.set_for(&pools, program);
-        let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-        (set, epoch)
+        (self.set_for(&pools, program), pools.epoch(program))
     }
 
     /// The pool's event log: epoch-stamped mutation events for fleet
@@ -572,101 +784,51 @@ impl PatchPool {
         let mut pools = self.inner.lock();
         let mut ops: Vec<WalOp> = Vec::new();
         let mut published: Vec<Patch> = Vec::new();
-        let mut bumps = 0u64;
         let mut canaried = 0usize;
         let mut skipped_revoked = 0usize;
 
         for p in patches {
-            let revoked = pools
-                .revoked_by_program
-                .get(program)
-                .is_some_and(|s| s.contains(&p.site));
-            if !revoked {
-                let list = pools.by_program.entry(program.to_owned()).or_default();
-                if !list.contains(&p) && !published.contains(&p) {
-                    published.push(p);
-                }
-                continue;
-            }
-            if pools.policy.is_none() {
-                skipped_revoked += 1;
-                continue;
-            }
-            let scope = self.scope;
-            let gate = {
-                let st = pools
-                    .quarantine_by_program
-                    .entry(program.to_owned())
-                    .or_default()
-                    .entry(p.site)
-                    .or_insert_with(SiteState::tracked);
-                if st.quarantined {
-                    match scope {
-                        // Fleet-wide publication of a quarantined site is
-                        // always refused: re-admission goes via a canary.
-                        None => Gate::Refuse,
-                        Some(worker) => {
-                            if st.canary.is_some() {
-                                Gate::Refuse
-                            } else if st.denials < st.window {
-                                st.denials += 1;
-                                Gate::Deny(st.denials)
-                            } else {
-                                st.denials = 0;
-                                Gate::Canary(worker)
-                            }
-                        }
-                    }
-                } else if st.denials < st.window {
-                    st.denials += 1;
-                    Gate::Deny(st.denials)
-                } else {
-                    st.denials = 0;
-                    Gate::Publish
-                }
+            let gate = if !pools.is_revoked(program, p.site) {
+                Gate::Publish
+            } else if pools.policy.is_none() {
+                Gate::Refuse
+            } else {
+                pools
+                    .site(program, p.site)
+                    .unwrap_or(&SiteState::tracked())
+                    .gate(self.scope)
             };
+            // Denials and canaries are applied as they are decided: a
+            // later patch at the same site must see them.
             match gate {
                 Gate::Refuse => skipped_revoked += 1,
                 Gate::Deny(denials) => {
                     skipped_revoked += 1;
-                    ops.push(WalOp::SiteDenied(DenyOp {
+                    let op = WalOp::SiteDenied(DenyOp {
                         program: program.to_owned(),
                         site: p.site,
                         denials,
-                    }));
+                    });
+                    pools.push(&mut ops, op);
                 }
                 Gate::Canary(worker) => {
-                    let site = p.site;
-                    let candidate = vec![p];
-                    if let Some(st) = pools
-                        .quarantine_by_program
-                        .get_mut(program)
-                        .and_then(|m| m.get_mut(&site))
-                    {
-                        st.canary = Some((worker, candidate.clone()));
-                    }
-                    canaried += candidate.len();
-                    bumps += 1;
-                    pools.bump_epoch(program);
+                    canaried += 1;
                     log::warn(format!(
                         "patch pool for {program}: quarantined site re-admitted \
                          as a canary on worker {worker}"
                     ));
-                    ops.push(WalOp::CanaryAdmit(CanaryOp {
+                    let op = WalOp::CanaryAdmit(CanaryOp {
                         program: program.to_owned(),
-                        site,
+                        site: p.site,
                         worker,
-                        patches: candidate,
-                    }));
+                        patches: vec![p],
+                    });
+                    pools.push(&mut ops, op);
                 }
+                // A revoked site whose denial window was served may try
+                // again fleet-wide: the publish clears its tombstone.
                 Gate::Publish => {
-                    // The denial window was served: the site may try again
-                    // fleet-wide. Clear the tombstone and admit normally.
-                    if let Some(set) = pools.revoked_by_program.get_mut(program) {
-                        set.remove(&p.site);
-                    }
-                    let list = pools.by_program.entry(program.to_owned()).or_default();
-                    if !list.contains(&p) && !published.contains(&p) {
+                    if !pools.has_patch(program, &p) && !published.contains(&p) {
                         published.push(p);
                     }
                 }
@@ -678,37 +840,15 @@ impl PatchPool {
                 "patch pool for {program}: refused {skipped_revoked} patch(es) at revoked call-site(s)"
             ));
         }
-        if !published.is_empty() {
-            let list = pools.by_program.entry(program.to_owned()).or_default();
-            list.extend(published.iter().cloned());
-            bumps += 1;
-            pools.bump_epoch(program);
-            ops.push(WalOp::PatchPublish(PublishOp {
-                program: program.to_owned(),
-                patches: published.clone(),
-            }));
-        }
         let added = published.len() + canaried;
-        self.journal_ops(&mut pools, ops);
-        if bumps > 0 {
-            // Journal, then plane, then events — all under the mutex —
-            // then version: readers can never observe state the journal
-            // does not yet hold, and an event is never visible before
-            // the snapshot it announces.
-            self.publish_program(&pools, program);
-            let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-            if canaried > 0 {
-                self.events.emit(program, epoch, PoolEventKind::CanaryAdmit);
-            }
-            if !published.is_empty() {
-                self.events.emit(program, epoch, PoolEventKind::Publish);
-            }
+        if !published.is_empty() {
+            let op = WalOp::PatchPublish(PublishOp {
+                program: program.to_owned(),
+                patches: published,
+            });
+            pools.push(&mut ops, op);
         }
-        drop(pools);
-        if bumps > 0 {
-            self.version.fetch_add(bumps, Ordering::AcqRel);
-            self.persist(program);
-        }
+        self.commit(pools, ops);
         added
     }
 
@@ -723,72 +863,43 @@ impl PatchPool {
     /// the site was already revoked and held no patches.
     pub fn revoke(&self, program: &str, site: CallSite) -> bool {
         let mut pools = self.inner.lock();
-        let newly_tombstoned = pools
-            .revoked_by_program
-            .entry(program.to_owned())
-            .or_default()
-            .insert(site);
-        let removed = match pools.by_program.get_mut(program) {
-            Some(list) => {
-                let before = list.len();
-                list.retain(|p| p.site != site);
-                list.len() != before
-            }
-            None => false,
-        };
         let canary_cancelled = pools.policy.is_some()
             && pools
-                .quarantine_by_program
-                .get_mut(program)
-                .and_then(|m| m.get_mut(&site))
-                .is_some_and(|st| st.canary.take().is_some());
-        if !newly_tombstoned && !removed && !canary_cancelled {
+                .site(program, site)
+                .is_some_and(|st| st.canary.is_some());
+        if pools.is_revoked(program, site) && !pools.has_site(program, site) && !canary_cancelled {
             return false;
         }
         let mut ops: Vec<WalOp> = Vec::new();
         let mut flap = (0u32, 0u32, false);
         if let Some(policy) = pools.policy {
             if canary_cancelled {
-                ops.push(WalOp::CanaryReject(SiteOp {
+                let op = WalOp::CanaryReject(SiteOp {
                     program: program.to_owned(),
                     site,
-                }));
+                });
+                pools.push(&mut ops, op);
             }
-            let st = pools
-                .quarantine_by_program
-                .entry(program.to_owned())
-                .or_default()
-                .entry(site)
-                .or_insert_with(SiteState::tracked);
-            st.flaps += 1;
-            st.denials = 0;
-            st.window = (1u32 << (st.flaps - 1).min(16)).min(policy.max_window.max(1));
-            let was_quarantined = st.quarantined;
-            st.quarantined = st.flaps >= policy.quarantine_after;
-            flap = (st.flaps, st.window, st.quarantined);
-            if st.quarantined && !was_quarantined {
+            let st = pools.site(program, site);
+            let was_quarantined = st.is_some_and(|st| st.quarantined);
+            flap = st.unwrap_or(&SiteState::tracked()).flapped(policy);
+            if flap.2 && !was_quarantined {
                 log::warn(format!(
                     "patch pool for {program}: site flapped {} times, quarantined \
                      (re-admission is canary-only)",
-                    st.flaps
+                    flap.0
                 ));
             }
         }
-        ops.push(WalOp::PatchRevoke(RevokeOp {
+        let op = WalOp::PatchRevoke(RevokeOp {
             program: program.to_owned(),
             site,
             flaps: flap.0,
             window: flap.1,
             quarantined: flap.2,
-        }));
-        pools.bump_epoch(program);
-        self.journal_ops(&mut pools, ops);
-        self.publish_program(&pools, program);
-        let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-        self.events.emit(program, epoch, PoolEventKind::Revoke);
-        drop(pools);
-        self.version.fetch_add(1, Ordering::AcqRel);
-        self.persist(program);
+        });
+        pools.push(&mut ops, op);
+        self.commit(pools, ops);
         true
     }
 
@@ -800,7 +911,7 @@ impl PatchPool {
     pub fn confirm_canary(&self, program: &str) -> usize {
         let Some(worker) = self.scope else { return 0 };
         let mut pools = self.inner.lock();
-        let sites: Vec<CallSite> = pools
+        let mut sites: Vec<CallSite> = pools
             .quarantine_by_program
             .get(program)
             .map(|m| {
@@ -813,65 +924,29 @@ impl PatchPool {
         if sites.is_empty() {
             return 0;
         }
+        // Journal order must not depend on hash order.
+        sites.sort();
+        let before = pools.patch_count(program);
         let mut ops: Vec<WalOp> = Vec::new();
-        let mut bumps = 0u64;
-        let mut promoted = 0usize;
         for site in sites {
-            let Some((_, candidate)) = pools
-                .quarantine_by_program
-                .get_mut(program)
-                .and_then(|m| m.get_mut(&site))
-                .and_then(|st| {
-                    st.quarantined = false;
-                    st.denials = 0;
-                    st.canary.take()
-                })
-            else {
-                continue;
-            };
-            if let Some(set) = pools.revoked_by_program.get_mut(program) {
-                set.remove(&site);
-            }
-            let list = pools.by_program.entry(program.to_owned()).or_default();
-            for p in candidate {
-                if !list.contains(&p) {
-                    list.push(p);
-                    promoted += 1;
-                }
-            }
-            bumps += 1;
-            pools.bump_epoch(program);
             log::warn(format!(
                 "patch pool for {program}: canary on worker {worker} validated; \
                  patches promoted fleet-wide"
             ));
-            ops.push(WalOp::CanaryPromote(SiteOp {
+            let op = WalOp::CanaryPromote(SiteOp {
                 program: program.to_owned(),
                 site,
-            }));
+            });
+            pools.push(&mut ops, op);
         }
-        self.journal_ops(&mut pools, ops);
-        if bumps > 0 {
-            self.publish_program(&pools, program);
-            let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-            self.events
-                .emit(program, epoch, PoolEventKind::CanaryPromote);
-        }
-        drop(pools);
-        if bumps > 0 {
-            self.version.fetch_add(bumps, Ordering::AcqRel);
-            self.persist(program);
-        }
+        let promoted = pools.patch_count(program) - before;
+        self.commit(pools, ops);
         promoted
     }
 
     /// Returns `true` if patches at `site` have been revoked.
     pub fn is_revoked(&self, program: &str, site: CallSite) -> bool {
-        self.inner
-            .lock()
-            .revoked_by_program
-            .get(program)
-            .is_some_and(|s| s.contains(&site))
+        self.inner.lock().is_revoked(program, site)
     }
 
     /// Number of revoked (tombstoned) call-sites for a program.
@@ -885,57 +960,37 @@ impl PatchPool {
 
     /// Returns `true` if `site` is quarantined (canary-only re-admission).
     pub fn is_quarantined(&self, program: &str, site: CallSite) -> bool {
-        self.inner
-            .lock()
-            .quarantine_by_program
-            .get(program)
-            .and_then(|m| m.get(&site))
-            .is_some_and(|st| st.quarantined)
+        let pools = self.inner.lock();
+        pools.site(program, site).is_some_and(|st| st.quarantined)
     }
 
     /// Fleet-wide flap count of `site` (revocations under the policy).
     pub fn flap_count(&self, program: &str, site: CallSite) -> u32 {
-        self.inner
-            .lock()
-            .quarantine_by_program
-            .get(program)
-            .and_then(|m| m.get(&site))
-            .map_or(0, |st| st.flaps)
+        let pools = self.inner.lock();
+        pools.site(program, site).map_or(0, |st| st.flaps)
     }
 
     /// Returns `true` if a canary for `site` is in flight.
     pub fn has_canary(&self, program: &str, site: CallSite) -> bool {
-        self.inner
-            .lock()
-            .quarantine_by_program
-            .get(program)
-            .and_then(|m| m.get(&site))
+        let pools = self.inner.lock();
+        pools
+            .site(program, site)
             .is_some_and(|st| st.canary.is_some())
     }
 
     /// Removes all patches at the given call-site (validation failure).
-    pub fn remove_site(&self, program: &str, site: fa_proc::CallSite) {
+    pub fn remove_site(&self, program: &str, site: CallSite) {
         let mut pools = self.inner.lock();
-        let Some(list) = pools.by_program.get_mut(program) else {
-            return;
-        };
-        let before = list.len();
-        list.retain(|p| p.site != site);
-        if list.len() == before {
+        if !pools.has_site(program, site) {
             return;
         }
-        pools.bump_epoch(program);
-        let ops = vec![WalOp::PatchRemove(SiteOp {
+        let mut ops: Vec<WalOp> = Vec::new();
+        let op = WalOp::PatchRemove(SiteOp {
             program: program.to_owned(),
             site,
-        })];
-        self.journal_ops(&mut pools, ops);
-        self.publish_program(&pools, program);
-        let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-        self.events.emit(program, epoch, PoolEventKind::Remove);
-        drop(pools);
-        self.version.fetch_add(1, Ordering::AcqRel);
-        self.persist(program);
+        });
+        pools.push(&mut ops, op);
+        self.commit(pools, ops);
     }
 
     /// Canonical JSON of one program's complete pool state (patches,
@@ -986,7 +1041,7 @@ impl PatchPool {
         quarantine.sort_by_key(|e| e.site);
         ProgramSnapshot {
             program: program.to_owned(),
-            epoch: pools.epoch_by_program.get(program).copied().unwrap_or(0),
+            epoch: pools.epoch(program),
             patches,
             revoked,
             quarantine,
@@ -994,202 +1049,56 @@ impl PatchPool {
     }
 
     fn full_snapshot(pools: &Pools) -> PoolSnapshot {
-        let mut programs: Vec<&String> = pools
-            .by_program
-            .keys()
-            .chain(pools.epoch_by_program.keys())
-            .chain(pools.revoked_by_program.keys())
-            .chain(pools.quarantine_by_program.keys())
-            .collect();
-        programs.sort();
-        programs.dedup();
         PoolSnapshot {
-            programs: programs
+            programs: pools
+                .programs()
                 .into_iter()
                 .map(|p| Self::program_snapshot(pools, p))
                 .collect(),
         }
     }
 
-    /// Appends the mutation records just produced (in mutation order,
-    /// under the pool lock so journal order matches observation order),
-    /// advancing the replay watermark, and compacts when due.
-    fn journal_ops(&self, pools: &mut Pools, ops: Vec<WalOp>) {
-        let Some(wal) = &self.journal else { return };
-        for op in ops {
-            if let Some(seq) = wal.append(op) {
-                pools.last_seq = seq;
+    /// The one tail of every live mutation, whose `ops` are already
+    /// applied. Still holding the pool lock, it journals the ops (in
+    /// mutation order, so journal order matches observation order,
+    /// advancing the replay watermark and compacting when due), then
+    /// publishes the program's plane entry if an op bumped its epoch,
+    /// then emits one event per op kind stamped with the final epoch.
+    /// Only after the lock is released does the version move, by the
+    /// number of epoch bumps, and the pool persist. So readers never
+    /// observe state the journal does not yet hold, and an event is
+    /// never visible before the snapshot it announces.
+    fn commit(&self, mut pools: MutexGuard<'_, Pools>, ops: Vec<WalOp>) {
+        let bumps = ops.iter().filter(|op| op.bumps_epoch()).count() as u64;
+        let program = ops.iter().find_map(WalOp::program).map(str::to_owned);
+        let mut kinds: Vec<PoolEventKind> = ops.iter().filter_map(event_kind).collect();
+        kinds.dedup();
+        if let Some(wal) = &self.journal {
+            for op in ops {
+                if let Some(seq) = wal.append(op) {
+                    pools.last_seq = seq;
+                }
+            }
+            if wal.needs_compaction() {
+                let snapshot = Self::full_snapshot(&pools);
+                if let Some(seq) = wal.compact(snapshot) {
+                    pools.last_seq = seq;
+                }
             }
         }
-        if wal.needs_compaction() {
-            let snapshot = Self::full_snapshot(pools);
-            if let Some(seq) = wal.compact(snapshot) {
-                pools.last_seq = seq;
-            }
+        let Some(program) = program else { return };
+        if bumps > 0 {
+            self.publish_program(&pools, &program);
         }
-    }
-
-    /// Applies one journal record to the pool state; `false` if it was
-    /// at or below the watermark (already applied). Quarantine records
-    /// carry their resulting counters, so replay needs no policy.
-    fn apply_record(pools: &mut Pools, record: &WalRecord) -> bool {
-        if record.seq <= pools.last_seq {
-            return false;
+        let epoch = pools.epoch(&program);
+        for kind in kinds {
+            self.events.emit(&program, epoch, kind);
         }
-        pools.last_seq = record.seq;
-        match &record.op {
-            WalOp::PatchPublish(op) => {
-                // A publish implies every carried site was admissible:
-                // clear any tombstone (re-admission) and its denials.
-                for p in &op.patches {
-                    if let Some(set) = pools.revoked_by_program.get_mut(&op.program) {
-                        set.remove(&p.site);
-                    }
-                    if let Some(st) = pools
-                        .quarantine_by_program
-                        .get_mut(&op.program)
-                        .and_then(|m| m.get_mut(&p.site))
-                    {
-                        st.denials = 0;
-                    }
-                }
-                let list = pools.by_program.entry(op.program.clone()).or_default();
-                for p in &op.patches {
-                    if !list.contains(p) {
-                        list.push(p.clone());
-                    }
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::PatchRevoke(op) => {
-                pools
-                    .revoked_by_program
-                    .entry(op.program.clone())
-                    .or_default()
-                    .insert(op.site);
-                if let Some(list) = pools.by_program.get_mut(&op.program) {
-                    list.retain(|p| p.site != op.site);
-                }
-                if op.flaps > 0 {
-                    let st = pools
-                        .quarantine_by_program
-                        .entry(op.program.clone())
-                        .or_default()
-                        .entry(op.site)
-                        .or_insert_with(SiteState::tracked);
-                    st.flaps = op.flaps;
-                    st.window = op.window;
-                    st.denials = 0;
-                    st.quarantined = op.quarantined;
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::PatchRemove(op) => {
-                if let Some(list) = pools.by_program.get_mut(&op.program) {
-                    list.retain(|p| p.site != op.site);
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::SiteDenied(op) => {
-                let st = pools
-                    .quarantine_by_program
-                    .entry(op.program.clone())
-                    .or_default()
-                    .entry(op.site)
-                    .or_insert_with(SiteState::tracked);
-                st.denials = op.denials;
-            }
-            WalOp::CanaryAdmit(op) => {
-                let st = pools
-                    .quarantine_by_program
-                    .entry(op.program.clone())
-                    .or_default()
-                    .entry(op.site)
-                    .or_insert_with(SiteState::tracked);
-                st.canary = Some((op.worker, op.patches.clone()));
-                st.denials = 0;
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::CanaryPromote(op) => {
-                let candidate = pools
-                    .quarantine_by_program
-                    .get_mut(&op.program)
-                    .and_then(|m| m.get_mut(&op.site))
-                    .and_then(|st| {
-                        st.quarantined = false;
-                        st.denials = 0;
-                        st.canary.take()
-                    });
-                if let Some(set) = pools.revoked_by_program.get_mut(&op.program) {
-                    set.remove(&op.site);
-                }
-                if let Some((_, patches)) = candidate {
-                    let list = pools.by_program.entry(op.program.clone()).or_default();
-                    for p in patches {
-                        if !list.contains(&p) {
-                            list.push(p);
-                        }
-                    }
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::CanaryReject(op) => {
-                if let Some(st) = pools
-                    .quarantine_by_program
-                    .get_mut(&op.program)
-                    .and_then(|m| m.get_mut(&op.site))
-                {
-                    st.canary = None;
-                }
-            }
-            WalOp::Snapshot(snap) => {
-                pools.by_program.clear();
-                pools.epoch_by_program.clear();
-                pools.revoked_by_program.clear();
-                pools.quarantine_by_program.clear();
-                for prog in &snap.programs {
-                    pools
-                        .by_program
-                        .insert(prog.program.clone(), prog.patches.clone());
-                    pools
-                        .epoch_by_program
-                        .insert(prog.program.clone(), prog.epoch);
-                    pools
-                        .revoked_by_program
-                        .insert(prog.program.clone(), prog.revoked.iter().copied().collect());
-                    let sites: HashMap<CallSite, SiteState> = prog
-                        .quarantine
-                        .iter()
-                        .map(|e| {
-                            (
-                                e.site,
-                                SiteState {
-                                    flaps: e.flaps,
-                                    window: e.window,
-                                    denials: e.denials,
-                                    quarantined: e.quarantined,
-                                    canary: e.canary_worker.map(|w| (w, e.canary_patches.clone())),
-                                },
-                            )
-                        })
-                        .collect();
-                    if !sites.is_empty() {
-                        pools
-                            .quarantine_by_program
-                            .insert(prog.program.clone(), sites);
-                    }
-                }
-            }
-            // Runtime/fleet records: not pool state, only the watermark
-            // advances (so replay order stays strict).
-            WalOp::CheckpointRegister(_)
-            | WalOp::CheckpointPrune(_)
-            | WalOp::SentrySuppress(_)
-            | WalOp::LadderDescend(_)
-            | WalOp::WorkerJoin(_)
-            | WalOp::WorkerLeave(_) => {}
+        drop(pools);
+        if bumps > 0 {
+            self.version.fetch_add(bumps, Ordering::AcqRel);
+            self.persist(&program);
         }
-        true
     }
 
     /// Persists atomically through [`fa_wal::write_atomic`] (write a

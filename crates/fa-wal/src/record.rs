@@ -8,11 +8,14 @@
 //!
 //! Replay contract: each *epoch-bumping* op (see
 //! [`WalOp::bumps_epoch`]) advances its program's patch epoch by
-//! exactly one, mirroring the single bump the live mutation performed.
-//! Quarantine records carry their resulting counters (`flaps`,
-//! `window`, `denials`) rather than the inputs that produced them, so
-//! replay restores the exact bookkeeping without needing the policy
-//! that was active at append time.
+//! exactly one. The pool has one transition function that does this
+//! for a live mutation and for replay alike: a live mutation decides
+//! its ops, applies them and journals them, and replay applies the
+//! journaled ops through the same function. Quarantine records carry
+//! their resulting counters (`flaps`, `window`, `denials`) rather than
+//! the inputs that produced them, so replay restores the exact
+//! bookkeeping without needing the policy that was active at append
+//! time.
 
 use fa_allocext::Patch;
 use fa_proc::CallSite;
@@ -200,8 +203,8 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// Whether replaying this op advances the program's patch epoch by
-    /// one (the live mutation bumped it exactly once when journaling).
+    /// Whether applying this op advances the program's patch epoch by
+    /// one, live or on replay.
     pub fn bumps_epoch(&self) -> bool {
         matches!(
             self,
@@ -211,6 +214,24 @@ impl WalOp {
                 | WalOp::CanaryAdmit(_)
                 | WalOp::CanaryPromote(_)
         )
+    }
+
+    /// The program this op concerns (`None` for fleet membership and
+    /// whole-pool snapshots).
+    pub fn program(&self) -> Option<&str> {
+        match self {
+            WalOp::PatchPublish(op) => Some(&op.program),
+            WalOp::PatchRevoke(op) => Some(&op.program),
+            WalOp::PatchRemove(op) | WalOp::CanaryPromote(op) | WalOp::CanaryReject(op) => {
+                Some(&op.program)
+            }
+            WalOp::SiteDenied(op) => Some(&op.program),
+            WalOp::CanaryAdmit(op) => Some(&op.program),
+            WalOp::CheckpointRegister(op) | WalOp::CheckpointPrune(op) => Some(&op.program),
+            WalOp::SentrySuppress(op) => Some(&op.program),
+            WalOp::LadderDescend(op) => Some(&op.program),
+            WalOp::WorkerJoin(_) | WalOp::WorkerLeave(_) | WalOp::Snapshot(_) => None,
+        }
     }
 
     /// Stable label for logs and debugging.
